@@ -517,6 +517,25 @@ pub fn f(x: f64) -> String {
     }
 }
 
+/// A workload scaled for single-core benchmarking: `adv` advertisements
+/// paced to the network size (heavier routing load at larger `n` needs a
+/// longer window to avoid melting the medium) and `lkp` lookups at the
+/// paper's ~2/s.
+pub fn bench_workload(adv: usize, lkp: usize, n: usize) -> pqs_core::workload::WorkloadConfig {
+    use pqs_sim::{SimDuration, SimTime};
+    let adv_secs = ((adv as f64) * (n as f64 / 250.0).max(0.4)).ceil() as u64;
+    pqs_core::workload::WorkloadConfig {
+        advertisements: adv,
+        lookups: lkp,
+        lookers: 25.min(lkp.max(1)),
+        start: SimTime::from_secs(5),
+        advertise_window: SimDuration::from_secs(adv_secs.max(1)),
+        phase_gap: SimDuration::from_secs(20),
+        lookup_window: SimDuration::from_secs(((lkp as u64) / 2).max(1)),
+        present_fraction: if adv == 0 { 0.0 } else { 1.0 },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,24 +602,5 @@ mod tests {
         assert_eq!(f(0.912), "0.912");
         assert_eq!(f(13.37), "13.4");
         assert_eq!(f(456.7), "457");
-    }
-}
-
-/// A workload scaled for single-core benchmarking: `adv` advertisements
-/// paced to the network size (heavier routing load at larger `n` needs a
-/// longer window to avoid melting the medium) and `lkp` lookups at the
-/// paper's ~2/s.
-pub fn bench_workload(adv: usize, lkp: usize, n: usize) -> pqs_core::workload::WorkloadConfig {
-    use pqs_sim::{SimDuration, SimTime};
-    let adv_secs = ((adv as f64) * (n as f64 / 250.0).max(0.4)).ceil() as u64;
-    pqs_core::workload::WorkloadConfig {
-        advertisements: adv,
-        lookups: lkp,
-        lookers: 25.min(lkp.max(1)),
-        start: SimTime::from_secs(5),
-        advertise_window: SimDuration::from_secs(adv_secs.max(1)),
-        phase_gap: SimDuration::from_secs(20),
-        lookup_window: SimDuration::from_secs(((lkp as u64) / 2).max(1)),
-        present_fraction: if adv == 0 { 0.0 } else { 1.0 },
     }
 }

@@ -221,6 +221,8 @@ pub struct Network<P> {
     /// Reusable candidate-receiver buffer (avoids a fresh allocation per
     /// transmission on the hot path).
     cand_scratch: Vec<(u32, Point)>,
+    /// Reusable copy of the receivers that decoded the frame being ended.
+    decoded_scratch: Vec<u32>,
 }
 
 impl<P: Clone> Network<P> {
@@ -313,6 +315,7 @@ impl<P: Clone> Network<P> {
             delayed: FastMap::default(),
             next_delayed_id: 0,
             cand_scratch: Vec::new(),
+            decoded_scratch: Vec::new(),
             config,
         };
         if net.config.prepopulate_neighbors {
@@ -639,14 +642,11 @@ impl<P: Clone> Network<P> {
     /// Returns the number of events processed.
     pub fn run<S: Stack<P>>(&mut self, stack: &mut S, until: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some(t) = self.scheduler.next_deadline() {
-            if t > until {
-                break;
-            }
-            let (_, event) = self.scheduler.pop().expect("peeked event exists");
+        let mut upcalls = Vec::new();
+        while let Some((_, event)) = self.scheduler.pop_until(until) {
             processed += 1;
-            let upcalls = self.handle(event);
-            for up in upcalls {
+            self.handle(event, &mut upcalls);
+            for up in upcalls.drain(..) {
                 if let Upcall::Frame { at, .. } = &up {
                     self.node_load[at.index()] += 1;
                 }
@@ -769,41 +769,41 @@ impl<P: Clone> Network<P> {
         self.scheduler.schedule_in(airtime, Event::PhyTxEnd { tx });
     }
 
-    fn handle(&mut self, event: Event) -> Vec<Upcall<P>> {
+    /// Processes one event, appending the upcalls it raises to `upcalls`.
+    fn handle(&mut self, event: Event, upcalls: &mut Vec<Upcall<P>>) {
         match event {
             Event::MacAttempt { node } => self.on_mac_attempt(node),
             Event::SendAck { node, to, seq } => self.on_send_ack(node, to, seq),
-            Event::PhyTxEnd { tx } => self.on_tx_end(tx),
-            Event::AckTimeout { node, seq } => self.on_ack_timeout(node, seq),
+            Event::PhyTxEnd { tx } => self.on_tx_end(tx, upcalls),
+            Event::AckTimeout { node, seq } => self.on_ack_timeout(node, seq, upcalls),
             Event::Heartbeat { node } => self.on_heartbeat(node),
             Event::MobilityLeg { node } => self.on_mobility_leg(node),
             Event::GridRefresh => self.on_grid_refresh(),
             Event::Timer { node, token } => {
                 if self.is_alive(node) {
-                    vec![Upcall::Timer { node, token }]
-                } else {
-                    Vec::new()
+                    upcalls.push(Upcall::Timer { node, token });
                 }
             }
-            Event::Fail { node } => self.on_fail(node),
-            Event::Join { node } => self.on_join(node),
-            Event::DelayedFrame { key } => self.on_delayed_frame(key),
-            Event::RegionFail { x, y, radius_m } => self.on_region_fail(Point::new(x, y), radius_m),
+            Event::Fail { node } => self.on_fail(node, upcalls),
+            Event::Join { node } => self.on_join(node, upcalls),
+            Event::DelayedFrame { key } => self.on_delayed_frame(key, upcalls),
+            Event::RegionFail { x, y, radius_m } => {
+                self.on_region_fail(Point::new(x, y), radius_m, upcalls)
+            }
             Event::RegionRecover { x, y, radius_m } => {
-                self.on_region_recover(Point::new(x, y), radius_m)
+                self.on_region_recover(Point::new(x, y), radius_m, upcalls)
             }
         }
     }
 
-    fn on_mac_attempt(&mut self, node: NodeId) -> Vec<Upcall<P>> {
+    fn on_mac_attempt(&mut self, node: NodeId) {
         if !self.is_alive(node) || self.macs[node.index()].phase != MacPhase::Contending {
-            return Vec::new();
+            return;
         }
         let pos = self.position_now(node);
-        if self.medium.channel_busy(node.0, pos) {
+        if let Some(busy_until) = self.medium.busy_until(node.0, pos) {
             // Defer: retry a backoff after the channel is expected free.
-            let now = self.scheduler.now();
-            let idle_at = self.medium.busy_until(node.0, pos).unwrap_or(now).max(now);
+            let idle_at = busy_until.max(self.scheduler.now());
             let mac_cfg = self.config.mac;
             let backoff =
                 mac_cfg.slot * u64::from(self.macs[node.index()].draw_backoff(&mut self.mac_rng));
@@ -811,12 +811,12 @@ impl<P: Clone> Network<P> {
             self.stats.mac_backoff_draws += 1;
             let at = idle_at + mac_cfg.difs + backoff;
             self.scheduler.schedule_at(at, Event::MacAttempt { node });
-            return Vec::new();
+            return;
         }
         let mac = &mut self.macs[node.index()];
         let Some(head) = mac.head() else {
             mac.phase = MacPhase::Idle;
-            return Vec::new();
+            return;
         };
         let frame = Frame {
             src: node,
@@ -830,18 +830,17 @@ impl<P: Clone> Network<P> {
         }
         mac.phase = MacPhase::Transmitting;
         self.transmit(node, frame, bytes);
-        Vec::new()
     }
 
-    fn on_send_ack(&mut self, node: NodeId, to: NodeId, seq: u64) -> Vec<Upcall<P>> {
+    fn on_send_ack(&mut self, node: NodeId, to: NodeId, seq: u64) {
         if !self.is_alive(node) {
-            return Vec::new();
+            return;
         }
         // ACKs are sent SIFS after reception without carrier sensing, but
         // a node that is busy transmitting its own frame cannot also send
         // the ACK — drop it (the data sender will retry).
         if self.macs[node.index()].phase == MacPhase::Transmitting {
-            return Vec::new();
+            return;
         }
         let frame = Frame {
             src: node,
@@ -850,15 +849,15 @@ impl<P: Clone> Network<P> {
             kind: FrameKind::Ack { for_seq: seq },
         };
         self.transmit(node, frame, 0);
-        Vec::new()
     }
 
-    fn on_tx_end(&mut self, tx: u64) -> Vec<Upcall<P>> {
+    fn on_tx_end(&mut self, tx: u64, upcalls: &mut Vec<Upcall<P>>) {
         let Some(Inflight { sender, frame }) = self.inflight.remove(&tx) else {
-            return Vec::new();
+            return;
         };
-        let decoded = self.medium.end_tx(TxId(tx));
-        let mut upcalls = Vec::new();
+        let mut decoded = std::mem::take(&mut self.decoded_scratch);
+        decoded.clear();
+        decoded.extend_from_slice(self.medium.end_tx(TxId(tx)));
         let is_unicast_data = matches!(
             (&frame.kind, frame.dst),
             (FrameKind::Data(_), MacDst::Unicast(_))
@@ -869,7 +868,7 @@ impl<P: Clone> Network<P> {
         let mut intended_accounted = false;
 
         // Receiver side.
-        for rx in decoded {
+        for &rx in &decoded {
             let rx = NodeId(rx);
             if !self.is_alive(rx) {
                 continue;
@@ -907,7 +906,7 @@ impl<P: Clone> Network<P> {
                 }
                 FrameKind::Ack { for_seq } => {
                     if frame.dst == MacDst::Unicast(rx) {
-                        upcalls.extend(self.on_ack_received(rx, *for_seq));
+                        self.on_ack_received(rx, *for_seq, upcalls);
                     }
                 }
                 FrameKind::Data(payload) => match frame.dst {
@@ -920,7 +919,7 @@ impl<P: Clone> Network<P> {
                             payload: payload.clone(),
                             overheard: false,
                         };
-                        self.emit_data_upcall(&mut upcalls, fate, up);
+                        self.emit_data_upcall(upcalls, fate, up);
                     }
                     MacDst::Unicast(dest) if dest == rx => {
                         intended_accounted = true;
@@ -943,7 +942,7 @@ impl<P: Clone> Network<P> {
                                 payload: payload.clone(),
                                 overheard: false,
                             };
-                            self.emit_data_upcall(&mut upcalls, fate, up);
+                            self.emit_data_upcall(upcalls, fate, up);
                         } else {
                             self.stats.unicast_dup_discarded += 1;
                         }
@@ -962,6 +961,7 @@ impl<P: Clone> Network<P> {
                 },
             }
         }
+        self.decoded_scratch = decoded;
         if is_unicast_data && !intended_accounted {
             self.stats.unicast_lost += 1;
         }
@@ -1004,7 +1004,6 @@ impl<P: Clone> Network<P> {
                 }
             }
         }
-        upcalls
     }
 
     /// Pushes a data-frame upcall, honouring an injected delay or
@@ -1033,21 +1032,21 @@ impl<P: Clone> Network<P> {
             .schedule_in(extra, Event::DelayedFrame { key });
     }
 
-    fn on_delayed_frame(&mut self, key: u64) -> Vec<Upcall<P>> {
+    fn on_delayed_frame(&mut self, key: u64, upcalls: &mut Vec<Upcall<P>>) {
         let Some(up) = self.delayed.remove(&key) else {
-            return Vec::new();
+            return;
         };
         // A receiver that crashed while the frame sat in the fault queue
         // never sees it.
         if let Upcall::Frame { at, .. } = &up {
             if !self.is_alive(*at) {
-                return Vec::new();
+                return;
             }
         }
-        vec![up]
+        upcalls.push(up);
     }
 
-    fn on_region_fail(&mut self, center: Point, radius_m: f64) -> Vec<Upcall<P>> {
+    fn on_region_fail(&mut self, center: Point, radius_m: f64, upcalls: &mut Vec<Upcall<P>>) {
         let now = self.scheduler.now();
         let victims: Vec<NodeId> = (0..self.motions.len())
             .filter(|&i| {
@@ -1055,14 +1054,12 @@ impl<P: Clone> Network<P> {
             })
             .map(|i| NodeId(i as u32))
             .collect();
-        let mut upcalls = Vec::new();
         for victim in victims {
-            upcalls.extend(self.on_fail(victim));
+            self.on_fail(victim, upcalls);
         }
-        upcalls
     }
 
-    fn on_region_recover(&mut self, center: Point, radius_m: f64) -> Vec<Upcall<P>> {
+    fn on_region_recover(&mut self, center: Point, radius_m: f64, upcalls: &mut Vec<Upcall<P>>) {
         let now = self.scheduler.now();
         let healed: Vec<NodeId> = (0..self.motions.len())
             .filter(|&i| {
@@ -1070,23 +1067,20 @@ impl<P: Clone> Network<P> {
             })
             .map(|i| NodeId(i as u32))
             .collect();
-        let mut upcalls = Vec::new();
         for node in healed {
-            upcalls.extend(self.on_join(node));
+            self.on_join(node, upcalls);
         }
-        upcalls
     }
 
-    fn on_ack_received(&mut self, node: NodeId, for_seq: u64) -> Vec<Upcall<P>> {
+    fn on_ack_received(&mut self, node: NodeId, for_seq: u64, upcalls: &mut Vec<Upcall<P>>) {
         let mac = &mut self.macs[node.index()];
         if mac.phase != (MacPhase::AwaitingAck { seq: for_seq }) {
-            return Vec::new();
+            return;
         }
         if let Some(id) = self.ack_timeouts[node.index()].take() {
             self.scheduler.cancel(id);
         }
         let out = mac.finish_head(self.config.mac.cw_min).expect("head acked");
-        let mut upcalls = Vec::new();
         if let Some(token) = out.token {
             upcalls.push(Upcall::SendResult {
                 node,
@@ -1095,24 +1089,22 @@ impl<P: Clone> Network<P> {
             });
         }
         self.schedule_attempt_for_head(node);
-        upcalls
     }
 
-    fn on_ack_timeout(&mut self, node: NodeId, seq: u64) -> Vec<Upcall<P>> {
+    fn on_ack_timeout(&mut self, node: NodeId, seq: u64, upcalls: &mut Vec<Upcall<P>>) {
         if !self.is_alive(node) {
-            return Vec::new();
+            return;
         }
         let mac_cfg = self.config.mac;
         let mac = &mut self.macs[node.index()];
         if mac.phase != (MacPhase::AwaitingAck { seq }) {
-            return Vec::new();
+            return;
         }
         self.ack_timeouts[node.index()] = None;
         mac.retries += 1;
         if mac.retries >= mac_cfg.retry_limit {
             self.stats.mac_failures += 1;
             let out = mac.finish_head(mac_cfg.cw_min).expect("head failed");
-            let mut upcalls = Vec::new();
             if let Some(token) = out.token {
                 upcalls.push(Upcall::SendResult {
                     node,
@@ -1121,7 +1113,6 @@ impl<P: Clone> Network<P> {
                 });
             }
             self.schedule_attempt_for_head(node);
-            upcalls
         } else {
             mac.grow_cw(mac_cfg.cw_max);
             let backoff = mac_cfg.slot * u64::from(mac.draw_backoff(&mut self.mac_rng));
@@ -1129,11 +1120,10 @@ impl<P: Clone> Network<P> {
             mac.phase = MacPhase::Contending;
             self.scheduler
                 .schedule_in(mac_cfg.difs + backoff, Event::MacAttempt { node });
-            Vec::new()
         }
     }
 
-    fn on_heartbeat(&mut self, node: NodeId) -> Vec<Upcall<P>> {
+    fn on_heartbeat(&mut self, node: NodeId) {
         if self.is_alive(node) {
             let bytes = self.config.hello_bytes;
             let was_idle =
@@ -1144,12 +1134,11 @@ impl<P: Clone> Network<P> {
             self.scheduler
                 .schedule_in(self.config.heartbeat_period, Event::Heartbeat { node });
         }
-        Vec::new()
     }
 
-    fn on_mobility_leg(&mut self, node: NodeId) -> Vec<Upcall<P>> {
+    fn on_mobility_leg(&mut self, node: NodeId) {
         if !self.is_alive(node) {
-            return Vec::new();
+            return;
         }
         let now = self.scheduler.now();
         let current = self.motions[node.index()].position(now);
@@ -1169,10 +1158,9 @@ impl<P: Clone> Network<P> {
         self.motions[node.index()] = motion;
         self.scheduler
             .schedule_at(next, Event::MobilityLeg { node });
-        Vec::new()
     }
 
-    fn on_grid_refresh(&mut self) -> Vec<Upcall<P>> {
+    fn on_grid_refresh(&mut self) {
         let now = self.scheduler.now();
         for i in 0..self.motions.len() {
             if self.alive[i] {
@@ -1194,12 +1182,11 @@ impl<P: Clone> Network<P> {
         }
         self.scheduler
             .schedule_in(SimDuration::from_secs(1), Event::GridRefresh);
-        Vec::new()
     }
 
-    fn on_fail(&mut self, node: NodeId) -> Vec<Upcall<P>> {
+    fn on_fail(&mut self, node: NodeId, upcalls: &mut Vec<Upcall<P>>) {
         if !self.is_alive(node) {
-            return Vec::new();
+            return;
         }
         self.alive[node.index()] = false;
         if let Some(id) = self.ack_timeouts[node.index()].take() {
@@ -1208,22 +1195,22 @@ impl<P: Clone> Network<P> {
         self.grid.remove(node.0);
         self.neighbors[node.index()].clear();
         self.neighbor_min_expiry[node.index()] = SimTime::MAX;
-        let mut upcalls: Vec<Upcall<P>> = self.macs[node.index()]
-            .drain_tokens()
-            .into_iter()
-            .map(|token| Upcall::SendResult {
-                node,
-                token,
-                ok: false,
-            })
-            .collect();
+        upcalls.extend(
+            self.macs[node.index()]
+                .drain_tokens()
+                .into_iter()
+                .map(|token| Upcall::SendResult {
+                    node,
+                    token,
+                    ok: false,
+                }),
+        );
         upcalls.push(Upcall::NodeFailed { node });
-        upcalls
     }
 
-    fn on_join(&mut self, node: NodeId) -> Vec<Upcall<P>> {
+    fn on_join(&mut self, node: NodeId, upcalls: &mut Vec<Upcall<P>>) {
         if self.is_alive(node) {
-            return Vec::new();
+            return;
         }
         let now = self.scheduler.now();
         let mut placement_rng = rng::entity_stream(
@@ -1248,6 +1235,6 @@ impl<P: Clone> Network<P> {
         // Announce immediately, then on the regular cycle.
         self.scheduler
             .schedule_in(SimDuration::ZERO, Event::Heartbeat { node });
-        vec![Upcall::NodeJoined { node }]
+        upcalls.push(Upcall::NodeJoined { node });
     }
 }

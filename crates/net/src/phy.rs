@@ -24,9 +24,13 @@
 //!   `(tx id, received power)` list kept sorted by transmission id, so a
 //!   SINR check folds precomputed powers (cheap adds) instead of
 //!   recomputing path loss (`powf`/`log10`) per ongoing transmission;
-//! - ongoing transmissions and pending receptions are bucketed in
-//!   [`SpatialGrid`]s, so begin/end only touch state within
-//!   [`PhyConfig::interference_range_m`].
+//! - pending receptions are reached through the transmission they lock
+//!   onto: a reception's receiver lies within reception range of that
+//!   transmission's sender, so the receptions a begin/end can affect are
+//!   the live receivers of the ongoing transmissions within interference
+//!   range + reception range of it. Ongoing transmissions are bucketed
+//!   in a [`SpatialGrid`], so under heavy load begin/end only touch
+//!   state in the local neighbourhood.
 //!
 //! Results are *bit-identical* to the naive recompute: the old code
 //! folded ongoing transmissions in ascending-id order (the `Vec` was
@@ -162,7 +166,9 @@ struct OngoingTx {
     /// Receivers that locked onto this frame, in lock order (drives the
     /// deterministic decode order of [`Medium::end_tx`]). Entries whose
     /// reception was since aborted are detected by the pending-side
-    /// `tx_id` check.
+    /// `tx_id` check. Every pending reception is listed here under the
+    /// transmission it locks onto, which is how begin/end find the
+    /// receptions near them.
     rx_nodes: Vec<u32>,
 }
 
@@ -200,6 +206,8 @@ pub struct Medium {
     phy: PhyConfig,
     /// Precomputed linear-form path-loss curve (the hot-path form).
     curve: PowerCurve,
+    /// The noise floor in mW (`phy.noise_dbm` converted once).
+    noise_mw: f64,
     /// Ongoing transmissions, slab-ordered (swap-removed on end).
     ongoing: Vec<OngoingTx>,
     /// Transmission id → slot in `ongoing`.
@@ -210,14 +218,10 @@ pub struct Medium {
     pending: Vec<PendingRx>,
     /// Receiver node → slot in `pending` (`NO_SLOT` = not receiving).
     rx_slot: Vec<u32>,
-    /// Spatial index over pending receptions, keyed by receiver node id.
-    rx_grid: SpatialGrid,
     /// Per-sender in-flight transmissions `(tx id, end)`, indexed by
     /// node id: carrier sense must report a node's own transmissions
     /// busy at any distance.
     sender_txs: Vec<Vec<(u64, SimTime)>>,
-    /// Scratch for spatial-grid query results (reused across calls).
-    scratch: Vec<u32>,
     /// Recycled contribution lists — retiring a reception returns its
     /// list here instead of freeing it (bounded; see `POOL_MAX`).
     contrib_pool: Vec<Vec<(u64, f64)>>,
@@ -225,6 +229,9 @@ pub struct Medium {
     rx_nodes_pool: Vec<Vec<u32>>,
     /// Scratch for the admission loop's newly created receptions.
     admit_scratch: Vec<PendingRx>,
+    /// The receivers that decoded the last ended transmission (reused
+    /// across calls; [`Medium::end_tx`] returns a view of it).
+    decoded: Vec<u32>,
     /// Transmitter/receiver pairs examined (diagnostics: the locality
     /// guard tests assert this stays sub-quadratic in channel load).
     work: u64,
@@ -233,12 +240,21 @@ pub struct Medium {
 /// Sentinel for "no pending reception" in [`Medium::rx_slot`].
 const NO_SLOT: u32 = u32::MAX;
 
-/// Up to this many slab entries, linear scans beat the spatial grids:
-/// carrier sense keeps realistic channel concurrency at a handful of
-/// transmissions, so the cache-hot direct path is the common case and
-/// the grids only take over under heavy load (where they bound the
-/// scan to the local neighbourhood).
+/// Up to this many ongoing transmissions, linear scans beat the spatial
+/// grid: carrier sense keeps realistic channel concurrency at a handful
+/// of transmissions, so the cache-hot direct path is the common case and
+/// the grid only takes over under heavy load (where it bounds the scan
+/// to the local neighbourhood).
 const DIRECT_SCAN_MAX: usize = 16;
+
+/// Relative padding on the radius within which a transmission's
+/// receivers can reach a point. The triangle inequality bounds that
+/// radius exactly in real arithmetic; the padding, far above `f64`
+/// rounding of squared distances and far below any geometric effect,
+/// keeps rounding from skipping a boundary reception. Over-reaching
+/// costs only a visit, since every visited reception is still tested
+/// at its exact distance.
+const REACH_PAD: f64 = 1.0 + 1e-9;
 
 /// Cap on the recycled-allocation pools; far above realistic channel
 /// concurrency, so in practice nothing is ever freed on the hot path.
@@ -256,14 +272,14 @@ impl Medium {
             tx_grid: SpatialGrid::new(side, cell, 16),
             pending: Vec::new(),
             rx_slot: Vec::new(),
-            rx_grid: SpatialGrid::new(side, cell, 16),
             sender_txs: Vec::new(),
-            scratch: Vec::new(),
             contrib_pool: Vec::new(),
             rx_nodes_pool: Vec::new(),
             admit_scratch: Vec::new(),
+            decoded: Vec::new(),
             work: 0,
             curve: PowerCurve::new(&phy),
+            noise_mw: dbm_to_mw(phy.noise_dbm),
             phy,
         }
     }
@@ -332,16 +348,66 @@ impl Medium {
     }
 
     /// Swap-removes the pending reception at `slot`, fixing up the
-    /// receiver index (the spatial index is keyed by receiver id, so only
-    /// the slot map needs patching).
+    /// receiver index.
     fn remove_pending_slot(&mut self, slot: usize) -> PendingRx {
         let p = self.pending.swap_remove(slot);
         self.rx_slot[p.rx_node as usize] = NO_SLOT;
-        self.rx_grid.remove(p.rx_node);
         if let Some(moved) = self.pending.get(slot) {
             self.rx_slot[moved.rx_node as usize] = slot as u32;
         }
         p
+    }
+
+    /// Calls `visit` on every pending reception whose receiver may lie
+    /// within `radius` of `pos`, each exactly once, counting each visit
+    /// as work. The caller tests the exact distance.
+    ///
+    /// A reception is found through the ongoing transmission it locks
+    /// onto: its receiver lies within reception range of that sender, so
+    /// only transmissions within `radius` + reception range of `pos` can
+    /// hold one. Visit order follows the transmissions, not the pending
+    /// slab; callers update each reception independently, so the order
+    /// cannot change a result.
+    fn for_each_reception_near(
+        &mut self,
+        pos: Point,
+        radius: f64,
+        mut visit: impl FnMut(&mut PendingRx),
+    ) {
+        let reach = (radius + self.phy.reception_range_m()) * REACH_PAD;
+        let reach2 = reach * reach;
+        let Medium {
+            ongoing,
+            tx_grid,
+            pending,
+            rx_slot,
+            work,
+            ..
+        } = self;
+        let mut visit_tx = |t: &OngoingTx| {
+            if t.pos.distance_squared(pos) > reach2 {
+                return;
+            }
+            for &rx in &t.rx_nodes {
+                let slot = rx_slot[rx as usize];
+                if slot == NO_SLOT {
+                    continue; // reception aborted (half-duplex)
+                }
+                let p = &mut pending[slot as usize];
+                if p.tx_id != t.id {
+                    continue; // receiver since locked onto a later frame
+                }
+                *work += 1;
+                visit(p);
+            }
+        };
+        if ongoing.len() <= DIRECT_SCAN_MAX {
+            ongoing.iter().for_each(visit_tx);
+        } else {
+            for slot in tx_grid.nearby(pos, reach) {
+                visit_tx(&ongoing[slot as usize]);
+            }
+        }
     }
 
     /// Registers a transmission starting now and lasting until `end`.
@@ -373,39 +439,18 @@ impl Medium {
             ReceptionModel::Protocol { range_m, delta } => {
                 let guard = range_m * (1.0 + delta);
                 let guard2 = guard * guard;
-                if self.pending.len() <= DIRECT_SCAN_MAX {
-                    for p in &mut self.pending {
-                        self.work += 1;
-                        if sender_pos.distance_squared(p.rx_pos) <= guard2 {
-                            p.corrupted = true;
-                        }
+                self.for_each_reception_near(sender_pos, guard, |p| {
+                    if sender_pos.distance_squared(p.rx_pos) <= guard2 {
+                        p.corrupted = true;
                     }
-                } else {
-                    let mut affected = std::mem::take(&mut self.scratch);
-                    affected.clear();
-                    affected.extend(self.rx_grid.nearby(sender_pos, guard));
-                    for &rx in &affected {
-                        self.work += 1;
-                        let slot = self.rx_slot[rx as usize] as usize;
-                        let p = &mut self.pending[slot];
-                        if sender_pos.distance_squared(p.rx_pos) <= guard2 {
-                            p.corrupted = true;
-                        }
-                    }
-                    self.scratch = affected;
-                }
+                });
             }
             ReceptionModel::Physical { beta } => {
-                let noise_floor = dbm_to_mw(self.phy.noise_dbm);
+                let noise_floor = self.noise_mw;
                 let range = self.phy.interference_range_m;
                 let range2 = range * range;
-                // Each pending is judged independently, so single-pass
-                // marking matches the old two-phase scan. The closure runs
-                // on every pending within range, whether the pendings come
-                // from a direct slab scan or a grid query.
                 let curve = self.curve;
-                let mark = |work: &mut u64, p: &mut PendingRx| {
-                    *work += 1;
+                self.for_each_reception_near(sender_pos, range, |p| {
                     let d2 = sender_pos.distance_squared(p.rx_pos);
                     if d2 > range2 {
                         return;
@@ -421,21 +466,7 @@ impl Medium {
                     if p.signal_mw / (noise_floor + interference) < beta {
                         p.corrupted = true;
                     }
-                };
-                if self.pending.len() <= DIRECT_SCAN_MAX {
-                    for p in &mut self.pending {
-                        mark(&mut self.work, p);
-                    }
-                } else {
-                    let mut affected = std::mem::take(&mut self.scratch);
-                    affected.clear();
-                    affected.extend(self.rx_grid.nearby(sender_pos, range));
-                    for &rx in &affected {
-                        let slot = self.rx_slot[rx as usize] as usize;
-                        mark(&mut self.work, &mut self.pending[slot]);
-                    }
-                    self.scratch = affected;
-                }
+                });
             }
         }
 
@@ -519,7 +550,7 @@ impl Medium {
                     // Ascending tx id == the naive fold order.
                     contrib.sort_unstable_by_key(|&(tid, _)| tid);
                     let interference = contrib.iter().fold(0.0f64, |acc, &(_, mw)| acc + mw);
-                    let noise = dbm_to_mw(self.phy.noise_dbm) + interference;
+                    let noise = self.noise_mw + interference;
                     let ok = signal_mw / noise >= beta;
                     rx_nodes.push(node);
                     new_pending.push(PendingRx {
@@ -536,7 +567,6 @@ impl Medium {
         for p in new_pending.drain(..) {
             let slot = self.pending.len();
             self.set_rx_slot(p.rx_node, slot);
-            self.rx_grid.update(p.rx_node, p.rx_pos);
             self.pending.push(p);
         }
         self.admit_scratch = new_pending;
@@ -558,10 +588,11 @@ impl Medium {
     }
 
     /// Finishes transmission `id` and returns the nodes that successfully
-    /// decoded the frame.
-    pub fn end_tx(&mut self, id: TxId) -> Vec<u32> {
+    /// decoded the frame, in lock order.
+    pub fn end_tx(&mut self, id: TxId) -> &[u32] {
+        self.decoded.clear();
         let Some(slot) = self.tx_slot.remove(&id.0) else {
-            return Vec::new();
+            return &self.decoded;
         };
         let tx = self.ongoing.swap_remove(slot);
         // Grid and index fix-ups for the slot that moved into `slot`.
@@ -575,41 +606,20 @@ impl Medium {
         }
 
         // The signal stops interfering with other receptions in progress.
-        // Every reception holding a contribution from `tx` lies within
-        // interference range of its position (contributions are only added
-        // in range), so the grid query covers them all; small pending sets
-        // are scanned directly instead.
-        if self.pending.len() <= DIRECT_SCAN_MAX {
-            for p in &mut self.pending {
-                self.work += 1;
-                if p.tx_id == tx.id {
-                    continue; // removed below
-                }
-                if let Ok(i) = p.contrib.binary_search_by_key(&tx.id, |&(t, _)| t) {
-                    p.contrib.remove(i);
-                }
-            }
-        } else {
+        // Contributions are only added within interference range of the
+        // transmitter, and only under the physical model. `tx` has left
+        // `ongoing`, so its own receptions (removed below) are not
+        // visited.
+        if matches!(self.phy.reception, ReceptionModel::Physical { .. }) {
             let range = self.phy.interference_range_m;
-            let mut affected = std::mem::take(&mut self.scratch);
-            affected.clear();
-            affected.extend(self.rx_grid.nearby(tx.pos, range));
-            for &rx in &affected {
-                self.work += 1;
-                let slot = self.rx_slot[rx as usize] as usize;
-                let p = &mut self.pending[slot];
-                if p.tx_id == tx.id {
-                    continue; // removed below
-                }
+            self.for_each_reception_near(tx.pos, range, |p| {
                 if let Ok(i) = p.contrib.binary_search_by_key(&tx.id, |&(t, _)| t) {
                     p.contrib.remove(i);
                 }
-            }
-            self.scratch = affected;
+            });
         }
 
         // Decode in lock order (== the order receivers were admitted).
-        let mut decoded = Vec::new();
         for &rx in &tx.rx_nodes {
             let Some(pslot) = self.rx_slot_of(rx) else {
                 continue; // reception aborted (half-duplex)
@@ -619,7 +629,7 @@ impl Medium {
             }
             let p = self.remove_pending_slot(pslot);
             if !p.corrupted {
-                decoded.push(rx);
+                self.decoded.push(rx);
             }
             self.recycle_pending(p);
         }
@@ -630,31 +640,13 @@ impl Medium {
         }
         #[cfg(debug_assertions)]
         self.assert_incremental_matches_naive();
-        decoded
+        &self.decoded
     }
 
-    /// Returns `true` if the channel appears busy to a node at `pos`
-    /// (carrier sense), either because it is transmitting itself or
-    /// because it senses an ongoing transmission.
-    pub fn channel_busy(&self, node: u32, pos: Point) -> bool {
-        if self.sender_active(node) {
-            return true;
-        }
-        let sense = self.sense_range_m();
-        let sense2 = sense * sense;
-        if self.ongoing.len() <= DIRECT_SCAN_MAX {
-            self.ongoing
-                .iter()
-                .any(|t| t.pos.distance_squared(pos) <= sense2)
-        } else {
-            self.tx_grid
-                .nearby(pos, sense)
-                .any(|slot| self.ongoing[slot as usize].pos.distance_squared(pos) <= sense2)
-        }
-    }
-
-    /// The latest end time among transmissions this node can sense — when
-    /// the channel is next expected to go idle — or `None` if it already
+    /// Carrier sense for a node at `pos`: the latest end time among the
+    /// transmissions it senses — its own at any distance, others within
+    /// [`sense_range_m`](Self::sense_range_m) — which is when the channel
+    /// is next expected to go idle. `None` exactly when the channel
     /// appears idle.
     pub fn busy_until(&self, node: u32, pos: Point) -> Option<SimTime> {
         let sense = self.sense_range_m();
@@ -719,6 +711,15 @@ impl Medium {
         let slot = self.rx_slot_of(rx_node)?;
         let p = &self.pending[slot];
         Some(p.contrib.iter().fold(0.0f64, |acc, &(_, mw)| acc + mw))
+    }
+
+    /// Whether `rx_node`'s reception in progress is already corrupted;
+    /// `None` if the node is not receiving. Exposed for the
+    /// incremental-vs-naive equivalence tests.
+    #[doc(hidden)]
+    pub fn pending_corrupted(&self, rx_node: u32) -> Option<bool> {
+        let slot = self.rx_slot_of(rx_node)?;
+        Some(self.pending[slot].corrupted)
     }
 
     /// Debug cross-check: every contribution list must equal (bit-exact,
@@ -928,28 +929,25 @@ mod tests {
     fn carrier_sense() {
         let mut m = medium(phy());
         let origin = Point::new(0.0, 0.0);
-        assert!(!m.channel_busy(5, origin));
+        assert_eq!(m.busy_until(5, origin), None, "idle medium");
         tx(&mut m, 1, 0, origin, &[]);
-        assert!(m.channel_busy(5, Point::new(250.0, 0.0)), "within CS range");
-        assert!(
-            !m.channel_busy(5, Point::new(400.0, 0.0)),
-            "beyond CS range"
-        );
-        assert!(
-            m.channel_busy(0, Point::new(5000.0, 0.0)),
-            "own tx always sensed"
-        );
         assert_eq!(
             m.busy_until(5, Point::new(250.0, 0.0)),
-            Some(SimTime::from_millis(1))
+            Some(SimTime::from_millis(1)),
+            "within CS range"
+        );
+        assert_eq!(
+            m.busy_until(5, Point::new(400.0, 0.0)),
+            None,
+            "beyond CS range"
         );
         assert_eq!(
             m.busy_until(0, Point::new(5000.0, 0.0)),
             Some(SimTime::from_millis(1)),
-            "own tx bounds the busy window at any distance"
+            "own tx sensed, and bounds the busy window, at any distance"
         );
         m.end_tx(TxId(1));
-        assert!(!m.channel_busy(5, Point::new(250.0, 0.0)));
+        assert_eq!(m.busy_until(5, Point::new(250.0, 0.0)), None);
     }
 
     #[test]

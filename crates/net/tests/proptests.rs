@@ -154,82 +154,145 @@ proptest! {
 
     /// The incremental medium (grid-bucketed, per-reception interference
     /// lists) is observationally identical — decode sets, half-duplex
-    /// aborts, carrier sense, and bit-exact interference sums — to a
-    /// from-scratch reference that rescans all ongoing transmissions on
-    /// every check (the pre-optimisation algorithm), across randomized
-    /// begin/end schedules in both reception models.
+    /// aborts, carrier sense, corruption marks and bit-exact interference
+    /// sums — to a from-scratch reference that rescans all ongoing
+    /// transmissions on every check (the pre-optimisation algorithm),
+    /// across randomized begin/end schedules in both reception models.
     #[test]
     fn incremental_matches_naive_medium(
         positions in proptest::collection::vec((0.0f64..1000.0, 0.0f64..1000.0), 3..14),
         script in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..50),
         protocol in any::<bool>(),
     ) {
-        let phy = if protocol { PhyConfig::protocol_model() } else { PhyConfig::default() };
-        let physical = !protocol;
         let nodes: Vec<Point> = positions.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let n = nodes.len();
-        let mut fast = Medium::new(phy, 1000.0);
-        let mut naive = naive::NaiveMedium::new(phy);
-        let mut active: Vec<u64> = Vec::new();
-        let mut next_id = 0u64;
-        let end = SimTime::from_millis(1);
-        for &(op, pick) in &script {
-            if op % 2 == 0 || active.is_empty() {
-                let sender = u32::from(pick) % n as u32;
-                let pos = nodes[sender as usize];
-                let candidates: Vec<(u32, Point)> = (0..n as u32)
-                    .filter(|&i| i != sender)
-                    .map(|i| (i, nodes[i as usize]))
-                    .collect();
-                let id = TxId(next_id);
-                next_id += 1;
-                let a_fast = fast.begin_tx(id, sender, pos, end, &candidates);
-                let a_naive = naive.begin_tx(id, sender, pos, end, &candidates);
-                prop_assert_eq!(a_fast, a_naive, "half-duplex abort diverged");
-                active.push(id.0);
-            } else {
-                let id = active.remove(usize::from(pick) % active.len());
-                let d_fast = fast.end_tx(TxId(id));
-                let d_naive = naive.end_tx(TxId(id));
-                prop_assert_eq!(&d_fast, &d_naive, "decode set diverged for tx {}", id);
-            }
+        let script: Vec<(bool, u8)> = script.iter().map(|&(op, pick)| (op % 2 == 0, pick)).collect();
+        check_against_naive(&nodes, 1000.0, &script, protocol)?;
+    }
+
+    /// The same equivalence past `DIRECT_SCAN_MAX` (16) ongoing
+    /// transmissions and pending receptions, where the medium reaches
+    /// receptions through the transmission grid. Four clusters of 20
+    /// nodes, each inside a 140 m box (so one sender reaches its whole
+    /// cluster) and more than interference + reception range apart,
+    /// plus stray nodes anywhere in a 3 km square. Twenty forced
+    /// transmissions open every script, so the grid path is guaranteed
+    /// to run; after every step the set of receptions marked corrupt and
+    /// every interference sum must equal a naive scan over all pending
+    /// receptions.
+    #[test]
+    fn crowded_medium_matches_naive(
+        offsets in proptest::collection::vec((0.0f64..140.0, 0.0f64..140.0), 80..81),
+        strays in proptest::collection::vec((0.0f64..3000.0, 0.0f64..3000.0), 0..20),
+        script in proptest::collection::vec((any::<u8>(), any::<u8>()), 40..120),
+        protocol in any::<bool>(),
+    ) {
+        let corners = [(100.0, 100.0), (2700.0, 100.0), (100.0, 2700.0), (1400.0, 1400.0)];
+        let nodes: Vec<Point> = offsets
+            .iter()
+            .enumerate()
+            .map(|(i, &(dx, dy))| {
+                let (cx, cy) = corners[i / 20];
+                Point::new(cx + dx, cy + dy)
+            })
+            .chain(strays.iter().map(|&(x, y)| Point::new(x, y)))
+            .collect();
+        let script: Vec<(bool, u8)> = (0..20u8)
+            .map(|i| (true, i * 5))
+            .chain(script.iter().map(|&(op, pick)| (op % 4 != 0, pick)))
+            .collect();
+        let (ongoing, pending) = check_against_naive(&nodes, 3000.0, &script, protocol)?;
+        prop_assert!(ongoing > 16, "peak ongoing {} never left the direct scan", ongoing);
+        prop_assert!(pending > 16, "peak pending {} never left the direct scan", pending);
+    }
+}
+
+/// Drives the incremental medium and the naive reference through
+/// `script` — `(true, pick)` begins a transmission from node
+/// `pick % n` heard by every other node, `(false, pick)` ends an active
+/// one — asserting after every step that both agree on aborts, decode
+/// sets, carrier sense, which receptions are pending and corrupt, and
+/// (physical model) each interference sum bit for bit. Returns the peak
+/// ongoing-transmission and pending-reception counts.
+fn check_against_naive(
+    nodes: &[Point],
+    side_m: f64,
+    script: &[(bool, u8)],
+    protocol: bool,
+) -> Result<(usize, usize), TestCaseError> {
+    let phy = if protocol {
+        PhyConfig::protocol_model()
+    } else {
+        PhyConfig::default()
+    };
+    let n = nodes.len();
+    let mut fast = Medium::new(phy, side_m);
+    let mut naive = naive::NaiveMedium::new(phy);
+    let mut active: Vec<u64> = Vec::new();
+    let mut next_id = 0u64;
+    let mut peak = (0, 0);
+    let end = SimTime::from_millis(1);
+    for &(begin, pick) in script {
+        if begin || active.is_empty() {
+            let sender = u32::from(pick) % n as u32;
+            let pos = nodes[sender as usize];
+            let candidates: Vec<(u32, Point)> = (0..n as u32)
+                .filter(|&i| i != sender)
+                .map(|i| (i, nodes[i as usize]))
+                .collect();
+            let id = TxId(next_id);
+            next_id += 1;
+            let a_fast = fast.begin_tx(id, sender, pos, end, &candidates);
+            let a_naive = naive.begin_tx(id, sender, pos, end, &candidates);
+            prop_assert_eq!(a_fast, a_naive, "half-duplex abort diverged");
+            active.push(id.0);
+        } else {
+            let id = active.remove(usize::from(pick) % active.len());
+            let d_fast = fast.end_tx(TxId(id));
+            let d_naive = naive.end_tx(TxId(id));
+            prop_assert_eq!(&d_fast, &d_naive, "decode set diverged for tx {}", id);
+        }
+        peak = (
+            peak.0.max(fast.ongoing_count()),
+            peak.1.max(fast.pending_count()),
+        );
+        for rx in 0..n as u32 {
+            prop_assert_eq!(
+                fast.pending_corrupted(rx),
+                naive.corrupted_at(rx),
+                "corruption mark diverged at rx {}",
+                rx
+            );
             // Interference sums must match the full recompute bit-exactly
             // (physical model; the protocol model keeps no sums).
-            if physical {
-                for rx in 0..n as u32 {
-                    match (fast.pending_interference_mw(rx), naive.interference_at(rx)) {
-                        (Some(a), Some(b)) => prop_assert_eq!(
-                            a.to_bits(), b.to_bits(),
-                            "interference diverged at rx {}: {} vs {}", rx, a, b
-                        ),
-                        (a, b) => prop_assert_eq!(
-                            a.is_some(), b.is_some(),
-                            "pending-reception set diverged at rx {}", rx
-                        ),
-                    }
-                }
-            }
-            for node in 0..n as u32 {
-                let pos = nodes[node as usize];
+            if !protocol {
+                let (a, b) = (fast.pending_interference_mw(rx), naive.interference_at(rx));
                 prop_assert_eq!(
-                    fast.channel_busy(node, pos),
-                    naive.channel_busy(node, pos),
-                    "carrier sense diverged at node {}", node
-                );
-                prop_assert_eq!(
-                    fast.busy_until(node, pos),
-                    naive.busy_until(node, pos),
-                    "busy window diverged at node {}", node
+                    a.map(f64::to_bits),
+                    b.map(f64::to_bits),
+                    "interference diverged at rx {}: {:?} vs {:?}",
+                    rx,
+                    a,
+                    b
                 );
             }
         }
-        // Drain: every remaining transmission must decode identically.
-        for id in active {
-            prop_assert_eq!(fast.end_tx(TxId(id)), naive.end_tx(TxId(id)));
+        for node in 0..n as u32 {
+            let pos = nodes[node as usize];
+            prop_assert_eq!(
+                fast.busy_until(node, pos),
+                naive.busy_until(node, pos),
+                "busy window diverged at node {}",
+                node
+            );
         }
-        prop_assert_eq!(fast.ongoing_count(), 0);
-        prop_assert_eq!(fast.pending_count(), 0);
     }
+    // Drain: every remaining transmission must decode identically.
+    for id in active {
+        prop_assert_eq!(fast.end_tx(TxId(id)), naive.end_tx(TxId(id)));
+    }
+    prop_assert_eq!(fast.ongoing_count(), 0);
+    prop_assert_eq!(fast.pending_count(), 0);
+    Ok(peak)
 }
 
 /// Reference implementation of the shared medium: the straightforward
@@ -295,6 +358,11 @@ mod naive {
                 };
             }
             total
+        }
+
+        pub fn corrupted_at(&self, rx_node: u32) -> Option<bool> {
+            let p = self.pending.iter().find(|p| p.rx_node == rx_node)?;
+            Some(p.corrupted)
         }
 
         pub fn interference_at(&self, rx_node: u32) -> Option<f64> {
@@ -410,14 +478,6 @@ mod naive {
                 false
             });
             decoded
-        }
-
-        pub fn channel_busy(&self, node: u32, pos: Point) -> bool {
-            let sense = self.sense_range_m();
-            let sense2 = sense * sense;
-            self.ongoing
-                .iter()
-                .any(|t| t.sender == node || t.pos.distance_squared(pos) <= sense2)
         }
 
         pub fn busy_until(&self, node: u32, pos: Point) -> Option<SimTime> {

@@ -2,9 +2,9 @@
 
 use crate::table::RouteTable;
 use pqs_net::{MacDst, Network, NodeId, Payload, Upcall};
+use pqs_sim::hash::{FastMap, FastSet};
 use pqs_sim::{EventId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Tokens with this bit set belong to the router; the application layer
 /// must allocate its link-level tokens below this bit.
@@ -269,7 +269,7 @@ struct NodeRouting {
     seq: u32,
     next_rreq_id: u64,
     next_data_id: u64,
-    seen_rreqs: HashSet<(NodeId, u64)>,
+    seen_rreqs: FastSet<(NodeId, u64)>,
 }
 
 #[derive(Clone)]
@@ -304,10 +304,10 @@ enum TimerCtx {
 pub struct Router<P> {
     cfg: RouterConfig,
     nodes: Vec<NodeRouting>,
-    pending: HashMap<(NodeId, NodeId), Discovery<P>>,
-    tokens: HashMap<u64, TokenCtx>,
-    timers: HashMap<u64, TimerCtx>,
-    transits: HashMap<u64, (NodeId, RoutePacket<P>)>,
+    pending: FastMap<(NodeId, NodeId), Discovery<P>>,
+    tokens: FastMap<u64, TokenCtx>,
+    timers: FastMap<u64, TimerCtx>,
+    transits: FastMap<u64, (NodeId, RoutePacket<P>)>,
     next_token: u64,
     stats: RoutingStats,
     node_forwards: Vec<u64>,
@@ -319,10 +319,10 @@ impl<P: Clone> Router<P> {
         Router {
             cfg,
             nodes: (0..n).map(|_| NodeRouting::default()).collect(),
-            pending: HashMap::new(),
-            tokens: HashMap::new(),
-            timers: HashMap::new(),
-            transits: HashMap::new(),
+            pending: FastMap::default(),
+            tokens: FastMap::default(),
+            timers: FastMap::default(),
+            transits: FastMap::default(),
             next_token: 1,
             stats: RoutingStats::default(),
             node_forwards: vec![0; n],

@@ -56,17 +56,25 @@ proptest! {
             match op {
                 Op::Update { dst, next, hops, seq, ttl_s } => {
                     let expires = now + pqs_sim::SimDuration::from_secs(ttl_s);
-                    let before = table.entry(NodeId(dst)).map(|r| r.dst_seq);
+                    let before = table.entry(NodeId(dst)).copied();
                     let accepted = table.update(NodeId(dst), NodeId(next), hops, seq, expires, now);
                     if accepted {
                         last_seq.insert(dst, seq);
                         let r = table.lookup(NodeId(dst), now).expect("fresh entry visible");
                         prop_assert_eq!(r.next_hop, NodeId(next));
                         prop_assert!(r.valid);
-                    } else if let Some(prev) = before {
-                        // Rejection only happens in favour of an entry at
-                        // least as fresh.
-                        prop_assert!((prev.wrapping_sub(seq) as i32) >= 0 || true);
+                    } else {
+                        // Rejection only happens in favour of a valid,
+                        // unexpired entry at least as fresh, which stays
+                        // untouched.
+                        let Some(kept) = table.lookup(NodeId(dst), now).copied() else {
+                            return Err(TestCaseError::fail("rejected without a usable entry"));
+                        };
+                        prop_assert_eq!(Some(kept), before, "a rejected update changed the entry");
+                        prop_assert!(
+                            (seq.wrapping_sub(kept.dst_seq) as i32) <= 0,
+                            "rejected seq {} is fresher than the kept {}", seq, kept.dst_seq
+                        );
                     }
                 }
                 Op::Invalidate { dst } => {
@@ -86,7 +94,7 @@ proptest! {
                     }
                 }
                 Op::Advance { by_s } => {
-                    now = now + pqs_sim::SimDuration::from_secs(by_s);
+                    now += pqs_sim::SimDuration::from_secs(by_s);
                 }
             }
             // Global invariant: every lookup result is valid and unexpired.

@@ -23,8 +23,15 @@ use pqs_bench::report;
 use pqs_serve::load::{self, LoadConfig};
 use pqs_serve::{drain_targets, knobs, ping_targets, Cluster, ServeConfig};
 use pqs_sim::json::JsonValue;
+use pqs_sim::metrics::Histogram;
 use std::net::SocketAddr;
 use std::time::Duration;
+
+/// Median and 99th percentile of a latency histogram.
+/// [`Histogram::percentile`] takes a percent (0–100), not a fraction.
+fn p50_p99(latency: &Histogram) -> (u64, u64) {
+    (latency.percentile(50.0), latency.percentile(99.0))
+}
 
 fn parse_targets(raw: &str) -> Vec<SocketAddr> {
     raw.split(',')
@@ -131,22 +138,12 @@ fn main() -> std::io::Result<()> {
     report::add_value("hit_ratio", JsonValue::from(stats.hit_ratio()));
 
     report::add_perf_value("ops_per_sec", JsonValue::from(stats.ops_per_sec()));
-    report::add_perf_value(
-        "put_p50_us",
-        JsonValue::from(stats.put_latency.percentile(0.5)),
-    );
-    report::add_perf_value(
-        "put_p99_us",
-        JsonValue::from(stats.put_latency.percentile(0.99)),
-    );
-    report::add_perf_value(
-        "get_p50_us",
-        JsonValue::from(stats.get_latency.percentile(0.5)),
-    );
-    report::add_perf_value(
-        "get_p99_us",
-        JsonValue::from(stats.get_latency.percentile(0.99)),
-    );
+    let (put_p50, put_p99) = p50_p99(&stats.put_latency);
+    let (get_p50, get_p99) = p50_p99(&stats.get_latency);
+    report::add_perf_value("put_p50_us", JsonValue::from(put_p50));
+    report::add_perf_value("put_p99_us", JsonValue::from(put_p99));
+    report::add_perf_value("get_p50_us", JsonValue::from(get_p50));
+    report::add_perf_value("get_p99_us", JsonValue::from(get_p99));
     if let Some(reports) = &node_reports {
         let malformed: u64 = reports.iter().map(|r| r.malformed_datagrams).sum();
         let send_errors: u64 = reports.iter().map(|r| r.send_errors).sum();
@@ -162,8 +159,8 @@ fn main() -> std::io::Result<()> {
         stats.wall.as_secs_f64(),
         stats.ops_per_sec(),
         stats.hit_ratio(),
-        stats.get_latency.percentile(0.5),
-        stats.get_latency.percentile(0.99),
+        get_p50,
+        get_p99,
         path.display(),
     );
 
@@ -175,4 +172,21 @@ fn main() -> std::io::Result<()> {
         std::process::exit(1);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn p50_p99_reads_percent_ranks() {
+        // Samples 1..=60 sit in the histogram's exact unit buckets. Ranks
+        // 30 and 60 are the median and p99; fractions (0.5, 0.99) would
+        // both read rank 1.
+        let mut latency = Histogram::new();
+        for v in 1..=60 {
+            latency.record(v);
+        }
+        assert_eq!(p50_p99(&latency), (30, 60));
+    }
 }

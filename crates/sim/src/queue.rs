@@ -121,8 +121,9 @@ pub struct EventQueue<E> {
     /// tombstones; a clear bit always means an empty deque.
     occupied: [u64; LEVELS],
     /// The wheel's origin: no wheel entry fires before `base`. Advanced
-    /// only by [`pop`](Self::pop) (to the next event's time or slot band)
-    /// — never beyond a stored entry, so slot membership stays stable.
+    /// only by [`pop_until`](Self::pop_until) (to the next event's time
+    /// or slot band) — never beyond a stored entry, so slot membership
+    /// stays stable.
     base: u64,
     /// Entries scheduled strictly before `base`. The raw queue has no
     /// clock, so "past" schedules are legal; they are strictly earlier
@@ -387,6 +388,21 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest pending event if it fires at or
+    /// before `until`; otherwise returns `None` and removes nothing.
+    ///
+    /// One wheel search serves both the deadline test and the removal,
+    /// where [`next_deadline`](Self::next_deadline) followed by
+    /// [`pop`](Self::pop) searches twice. A `None` return leaves every
+    /// live event in place and never moves `base` past one, so later
+    /// schedules keep their usual routing: `base` only advances to a
+    /// band start or overflow minimum at or before `until`, and those
+    /// never exceed a stored entry.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        let until = until.as_micros();
         if self.pending.is_empty() {
             self.clear_storage();
             return None;
@@ -395,6 +411,9 @@ impl<E> EventQueue<E> {
         // than everything in the wheel, so they drain first.
         while let Some(top) = self.past.peek() {
             if self.pending.contains(&top.seq) {
+                if top.at > until {
+                    return None;
+                }
                 let entry = self.past.pop().expect("peeked entry exists");
                 self.stored -= 1;
                 self.pending.remove(&entry.seq);
@@ -411,6 +430,10 @@ impl<E> EventQueue<E> {
                     debug_assert!(false, "live events pending but none stored");
                     return None;
                 }
+                // `overflow_min` bounds every overflow entry from below.
+                if self.overflow_min > until {
+                    return None;
+                }
                 // The wheel is idle: jump straight to the overflow's
                 // earliest entry instead of turning through empty spans.
                 self.base = self.base.max(self.overflow_min);
@@ -420,7 +443,13 @@ impl<E> EventQueue<E> {
             if !self.overflow.is_empty() && self.overflow_min - self.base < SPAN {
                 self.reseat_due_overflow();
             }
+            // After the reseat every overflow entry lies at least `SPAN`
+            // past `base`, beyond every wheel entry, so `t` bounds all
+            // stored entries from below.
             let (t, level, slot) = self.find_next();
+            if t > until {
+                return None;
+            }
             // An upper level's band start can lie at or before `base`
             // (entries that became due while lower levels were busy);
             // `base` itself never moves backwards.
@@ -605,6 +634,21 @@ impl<E> HeapEventQueue<E> {
         None
     }
 
+    /// Removes the earliest pending event if it fires at or before
+    /// `until`; same contract as [`EventQueue::pop_until`].
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        while let Some(top) = self.heap.peek() {
+            if self.pending.contains(&top.seq) {
+                if top.at > until.as_micros() {
+                    return None;
+                }
+                break;
+            }
+            self.heap.pop();
+        }
+        self.pop()
+    }
+
     /// Earliest pending firing time without removal or mutation.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.heap
@@ -736,7 +780,7 @@ mod tests {
             Some((SimTime::from_secs(1), "local")),
             "the local event must survive a foreign cancel"
         );
-        assert!(q2.cancel(local) == false, "and symmetrically");
+        assert!(!q2.cancel(local), "and symmetrically");
         assert_eq!(q2.pop(), Some((SimTime::from_secs(1), "foreign")));
     }
 
@@ -865,6 +909,32 @@ mod tests {
         q.schedule(SimTime::from_micros(target), "second");
         assert_eq!(q.pop(), Some((SimTime::from_micros(target), "first")));
         assert_eq!(q.pop(), Some((SimTime::from_micros(target), "second")));
+    }
+
+    #[test]
+    fn pop_until_declines_without_disturbing_the_wheel() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_micros(1_000_000), "far");
+        assert_eq!(q.pop_until(SimTime::from_micros(10)), None);
+        // A bound inside the far event's upper-level band may cascade it,
+        // but must not pop it or pass it.
+        assert_eq!(q.pop_until(SimTime::from_micros(999_999)), None);
+        assert_eq!(q.len(), 1);
+        // Schedules after a declined pop still fire in time order, even
+        // those earlier than the band the wheel turned to.
+        q.schedule(SimTime::from_micros(500), "early");
+        q.schedule(SimTime::from_micros(999_000), "late");
+        assert_eq!(q.next_deadline(), Some(SimTime::from_micros(500)));
+        assert_eq!(
+            q.pop_until(SimTime::from_micros(500)),
+            Some((SimTime::from_micros(500), "early"))
+        );
+        assert_eq!(q.pop(), Some((SimTime::from_micros(999_000), "late")));
+        assert_eq!(
+            q.pop_until(SimTime::from_micros(1_000_000)),
+            Some((SimTime::from_micros(1_000_000), "far"))
+        );
+        assert_eq!(q.pop_until(SimTime::MAX), None);
     }
 
     #[test]

@@ -82,18 +82,18 @@ impl<E> Scheduler<E> {
     /// Removes the earliest pending event, advances the clock to its firing
     /// time, and returns it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, event) = self.queue.pop()?;
-        self.now = at;
-        Some((at, event))
+        self.pop_until(SimTime::MAX)
     }
 
-    /// Returns the firing time of the next event without removing it.
-    ///
-    /// Takes `&self`: probing the deadline is read-only and never
-    /// perturbs pop order, so it composes with shared borrows of the
-    /// simulation.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.queue.next_deadline()
+    /// Removes the earliest pending event if it fires at or before
+    /// `until`, advances the clock to its firing time, and returns it.
+    /// Returns `None`, leaving the clock and every pending event in
+    /// place, when the next event fires after `until` or none is
+    /// pending.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        let (at, event) = self.queue.pop_until(until)?;
+        self.now = at;
+        Some((at, event))
     }
 
     /// Returns the number of pending events.
@@ -135,16 +135,11 @@ pub trait Simulate {
 /// Events scheduled exactly at `end` are still processed.
 pub fn run_until<S: Simulate>(sim: &mut S, end: SimTime) -> u64 {
     let mut processed = 0;
-    loop {
-        match sim.scheduler_mut().next_deadline() {
-            Some(at) if at <= end => {
-                let (_, event) = sim.scheduler_mut().pop().expect("peeked event exists");
-                sim.handle(event);
-                processed += 1;
-            }
-            _ => return processed,
-        }
+    while let Some((_, event)) = sim.scheduler_mut().pop_until(end) {
+        sim.handle(event);
+        processed += 1;
     }
+    processed
 }
 
 #[cfg(test)]

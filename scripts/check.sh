@@ -11,8 +11,8 @@ quick=0
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
